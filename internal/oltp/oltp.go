@@ -258,6 +258,11 @@ func TierNames() []string { return []string{"kv[@theta]", "ledger[@theta]"} }
 // the name belongs to this tier at all; when it does but the skew is
 // malformed or out of range, the error explains (registry-style: callers
 // print it and exit 2).
+//
+// A workload's Name carries its skew to two decimals, and callers
+// canonicalise through Name, so a skew with more precision ("kv@0.996",
+// "kv@0.123") would silently address a different column. ByName
+// rejects it rather than run the wrong skew.
 func ByName(name string) (func() Workload, bool, error) {
 	base, thetaStr, hasTheta := strings.Cut(name, "@")
 	theta := DefaultTheta
@@ -279,6 +284,12 @@ func ByName(name string) (func() Workload, bool, error) {
 	}
 	if err := ValidateTheta(theta); err != nil {
 		return nil, true, err
+	}
+	canon := f().Name()
+	_, canonTheta, _ := strings.Cut(canon, "@")
+	if v, err := strconv.ParseFloat(canonTheta, 64); err != nil || v != theta {
+		return nil, true, fmt.Errorf("oltp: theta %q in workload %q is not a two-decimal value (its name would read %q); "+
+			"use the form %s@0.dd, e.g. %s@0.99", thetaStr, name, canon, strings.ToLower(base), strings.ToLower(base))
 	}
 	return f, true, nil
 }

@@ -1,6 +1,8 @@
 package oltp_test
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -103,6 +105,60 @@ func TestByName(t *testing.T) {
 	if _, isOLTP, _ = oltp.ByName("List"); isOLTP {
 		t.Fatal("List is not an oltp tier name")
 	}
+	// A skew the two-decimal name cannot carry would silently run (or
+	// fail to find) a different column: it must be rejected up front.
+	for _, name := range []string{"kv@0.996", "ledger@0.123", "KV@0.9999"} {
+		_, isOLTP, err := oltp.ByName(name)
+		if !isOLTP || err == nil {
+			t.Fatalf("%s: isOLTP=%v err=%v, want a round-trip error", name, isOLTP, err)
+		}
+		if !strings.Contains(err.Error(), "@0.dd") {
+			t.Fatalf("%s: error %q does not name the accepted form", name, err)
+		}
+	}
+	for _, name := range []string{"kv@0.90", "KV@0.99", "ledger@0.5", "kv@0.500"} {
+		if _, _, err := oltp.ByName(name); err != nil {
+			t.Fatalf("%s rejected: %v", name, err)
+		}
+	}
+}
+
+// FuzzByName checks the tier-name parser: it never panics, every name it
+// accepts yields a workload whose Name parses back to the requested
+// skew, and that skew prepares a Zipf generator without panicking.
+func FuzzByName(f *testing.F) {
+	for _, seed := range []string{"kv", "KV@0.99", "ledger@0.5", "kv@1", "kv@-0", "kv@NaN", "kv@0.996", "kv@"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		w, isOLTP, err := oltp.ByName(name)
+		if !isOLTP && err != nil {
+			t.Fatalf("%q: error %v outside the tier", name, err)
+		}
+		if !isOLTP || err != nil {
+			return
+		}
+		want := oltp.DefaultTheta
+		if _, s, ok := strings.Cut(name, "@"); ok {
+			if want, err = strconv.ParseFloat(s, 64); err != nil {
+				t.Fatalf("%q accepted with an unparseable theta", name)
+			}
+		}
+		canon := w().Name()
+		_, s, _ := strings.Cut(canon, "@")
+		got, err := strconv.ParseFloat(s, 64)
+		if err != nil || got != want {
+			t.Fatalf("%q accepted, but its name %q reads back theta %v (err %v), want %v", name, canon, got, err, want)
+		}
+		// A small n keeps each new skew's one-time preparation cheap.
+		z := oltp.NewZipf(1<<10, got)
+		r := sched.NewRand(1)
+		for i := 0; i < 16; i++ {
+			if k := z.Next(r); k >= 1<<10 {
+				t.Fatalf("%q: draw %d out of range", name, k)
+			}
+		}
+	})
 }
 
 // TestLedgerServingScaleFootprint is the acceptance cell: a 10⁶-account

@@ -10,6 +10,7 @@ package oltp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -43,11 +44,14 @@ func ValidateTheta(theta float64) error {
 	return nil
 }
 
-// NewZipf prepares a generator over n ranks with skew theta. It panics on
-// invalid parameters — callers validate user input with ValidateTheta.
-// Preparation is O(n) (the zeta sum); the generator itself is O(1) per
-// draw and immutable, so one Zipf is safely shared by every simulated
-// thread of a cell.
+// NewZipf returns the generator over n ranks with skew theta. It panics
+// on invalid parameters — callers validate user input with
+// ValidateTheta. Preparing a generator is O(n) (the zeta sum), so it
+// runs once per (n, theta) per process: every later call, from any
+// goroutine, gets the same *Zipf. Sharing is safe because a generator is
+// immutable and O(1) per draw — one Zipf already serves every simulated
+// thread of a cell — and the constants are the same sum in the same
+// order however many cells ask for them.
 func NewZipf(n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("oltp: NewZipf with zero ranks")
@@ -55,6 +59,37 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if err := ValidateTheta(theta); err != nil {
 		panic(err.Error())
 	}
+	k := zipfKey{n, theta}
+	zipfMu.Lock()
+	get, ok := zipfMemo[k]
+	if !ok {
+		get = sync.OnceValue(func() *Zipf { return prepareZipf(n, theta) })
+		zipfMemo[k] = get
+	}
+	zipfMu.Unlock()
+	return get()
+}
+
+// zipfKey identifies one shared generator. theta is never NaN here
+// (ValidateTheta rejects it), so map equality is well defined; -0 and +0
+// share an entry, which is sound because they yield identical constants.
+type zipfKey struct {
+	n     uint64
+	theta float64
+}
+
+// zipfMemo holds one lazily prepared generator per (n, theta). The map
+// lock is held only to find or insert the entry; the O(n) sum runs under
+// the entry's sync.OnceValue, so concurrent first callers of one key wait
+// for a single preparation while other keys proceed.
+var (
+	zipfMu   sync.Mutex
+	zipfMemo = make(map[zipfKey]func() *Zipf)
+)
+
+// prepareZipf computes the generator's constants: the O(n) zeta sum and
+// the Gray et al. closed-form terms derived from it.
+func prepareZipf(n uint64, theta float64) *Zipf {
 	z := &Zipf{n: n, theta: theta}
 	for i := uint64(1); i <= n; i++ {
 		z.zetan += math.Pow(float64(i), -theta)

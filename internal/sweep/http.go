@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -49,6 +50,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxBodyBytes bounds every request body the server decodes. The
+// largest real plan spec — every figure, workload and a long seed list —
+// is a few KiB, so 1 MiB is far above any legitimate request and still
+// keeps a runaway or hostile client from making the server buffer an
+// unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 for an oversized body,
+// 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "decoding %s: %v", what, err)
+	return false
+}
+
 // httpError renders a JSON error body.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -56,8 +80,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+	if !decodeBody(w, r, "spec", &spec) {
 		return
 	}
 	st, err := s.submit(spec, "", true)
@@ -176,8 +199,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 // 204 when the queue is drained.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding lease request: %v", err)
+	if !decodeBody(w, r, "lease request", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -196,8 +218,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 // complete without a blob re-queues the cell instead.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding complete request: %v", err)
+	if !decodeBody(w, r, "complete request", &req) {
 		return
 	}
 	switch {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,6 +212,9 @@ func TestWorkerRefusesProvenanceMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The complete handler runs on the server's goroutine and may still
+	// be running when the worker returns, so the log is locked.
+	var mu sync.Mutex
 	var completes []completeRequest
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -222,7 +226,9 @@ func TestWorkerRefusesProvenanceMismatch(t *testing.T) {
 	mux.HandleFunc("POST /api/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
 		json.NewDecoder(r.Body).Decode(&req)
+		mu.Lock()
 		completes = append(completes, req)
+		mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	ts := httptest.NewServer(mux)
@@ -235,6 +241,8 @@ func TestWorkerRefusesProvenanceMismatch(t *testing.T) {
 		cancel()
 	}()
 	w.Run(ctx)
+	mu.Lock()
+	defer mu.Unlock()
 	if len(completes) == 0 {
 		t.Fatal("worker never reported the lease back")
 	}
@@ -291,6 +299,42 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("figure outside the plan returned %d, want 404", resp.StatusCode)
+	}
+}
+
+// Oversized submit, lease and complete bodies must be refused with 413,
+// leaving the queue untouched.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), -1)
+	huge := strings.Repeat("x", maxBodyBytes)
+	spec := tinySpec()
+	for len(spec.Workloads)*len(`"List",`) <= maxBodyBytes {
+		spec.Workloads = append(spec.Workloads, "List")
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/api/plans", spec},
+		{"/api/lease", leaseRequest{Worker: huge}},
+		{"/api/complete", completeRequest{Key: "k", Worker: "w", Failed: true, Error: huge}},
+	} {
+		if code := postJSON(t, ts.URL+c.path, c.body, nil); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s body returned %d, want 413", c.path, code)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/api/plans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sts []Status
+	err = json.NewDecoder(resp.Body).Decode(&sts)
+	resp.Body.Close()
+	if err != nil || len(sts) != 0 {
+		t.Fatalf("plans after oversized submit: %+v (err %v), want none", sts, err)
+	}
+	if code := postJSON(t, ts.URL+"/api/lease", leaseRequest{Worker: "w"}, nil); code != http.StatusNoContent {
+		t.Fatalf("lease after oversized submit returned %d, want 204 (empty queue)", code)
 	}
 }
 

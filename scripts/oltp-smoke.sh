@@ -5,7 +5,8 @@
 # three times with sitm-bench — twice at -workers 1 and once at
 # -workers 2 — and verifies the figure bytes are identical across runs
 # and across worker counts: the Zipfian generator, the paged store and
-# the commit-latency histogram are all deterministic end to end.
+# the commit-latency histogram are all deterministic end to end. It also
+# checks that a skew with more than two decimals is rejected.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -36,6 +37,18 @@ fi
 if ! grep -q 'kv@0.50' "$workdir/run1.txt" || ! grep -q 'p999' "$workdir/run1.txt"; then
   echo "oltp-smoke: render is missing the kv table or the quantile columns" >&2
   cat "$workdir/run1.txt" >&2
+  exit 1
+fi
+# A skew the two-decimal workload name cannot carry must fail closed: a
+# non-zero exit and the theta error, never a silent empty or wrong column.
+if "$workdir/sitm-bench" -oltp -workload kv@0.996 -seeds 1 >"$workdir/bad.txt" 2>"$workdir/bad.err"; then
+  echo "oltp-smoke: -workload kv@0.996 exited 0; it must be rejected" >&2
+  cat "$workdir/bad.txt" >&2
+  exit 1
+fi
+if ! grep -q 'not a two-decimal value' "$workdir/bad.err"; then
+  echo "oltp-smoke: -workload kv@0.996 failed without the theta error" >&2
+  cat "$workdir/bad.err" >&2
   exit 1
 fi
 echo "oltp-smoke: OK"
