@@ -62,19 +62,13 @@ type benchReport struct {
 	// VCS stamp, falling back to asking git about the build tree;
 	// "unknown" outside a git checkout, with a "-dirty" suffix when the
 	// working tree has uncommitted changes).
-	GitRevision string `json:"git_revision"`
-	// PerEvent records whether the sweep ran with horizon batching
-	// disabled (-per-event); figure bytes are identical either way, but
-	// SchedStats is the counter that tells the two conductors apart.
-	PerEvent bool           `json:"per_event,omitempty"`
-	Workers  int            `json:"workers"`
-	Seeds    []uint64       `json:"seeds"`
-	Sections []benchSection `json:"sections"`
+	GitRevision string         `json:"git_revision"`
+	Workers     int            `json:"workers"`
+	Seeds       []uint64       `json:"seeds"`
+	Sections    []benchSection `json:"sections"`
 	// SchedStats sums the deterministic conductor counters over every
 	// cell of the invocation: coroutine switches, inline ticks,
-	// horizon-batched events and local (uncontended) ticks. Batching
-	// shows up here as coroutine_switches dropping and batched_events
-	// rising relative to a -per-event run of the same sweep.
+	// horizon-batched events and local (uncontended) ticks.
 	SchedStats sched.Stats    `json:"sched_stats"`
 	HotPaths   []benchHotPath `json:"hot_paths"`
 }

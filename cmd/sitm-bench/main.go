@@ -109,7 +109,6 @@ func main() {
 		word       = flag.Bool("word", false, "enable SI-TM word-granularity conflict filtering (§4.2)")
 		dropOldest = flag.Bool("dropoldest", false, "use the drop-oldest version policy instead of abort-fifth (§3.1)")
 		noBackoff  = flag.Bool("nobackoff", false, "replace exponential backoff with a constant delay (§6.4 ablation)")
-		perEvent   = flag.Bool("per-event", false, "disable the conductor's horizon batching: schedule strictly per event (differential baseline; figure bytes are identical either way)")
 		csvDir     = flag.String("csv", "", "also write figure7.csv / figure8.csv / table2.csv into this directory")
 		verify     = flag.Bool("verify", false, "check the measured data against the paper's qualitative shapes and exit non-zero on deviation")
 		chart      = flag.Bool("chart", false, "also render Figure 7/8 series as ASCII charts")
@@ -132,7 +131,6 @@ func main() {
 	o.WordGranularity = *word
 	o.DropOldest = *dropOldest
 	o.NoBackoff = *noBackoff
-	o.PerEvent = *perEvent
 	o.Scale = *scale
 	o.Workers = *workers
 	var err error
@@ -172,7 +170,6 @@ func main() {
 	var bench *benchCollector
 	if *jsonPath != "" {
 		bench = newBenchCollector(o.Workers, o.Seeds)
-		bench.report.PerEvent = *perEvent
 		o.CellDone = bench.cellDone
 	}
 

@@ -8,8 +8,6 @@
 //	sitm-check                         all litmus programs x all engines
 //	sitm-check -list                   show the litmus library
 //	sitm-check -engine SI-TM -litmus bank -v
-//	sitm-check -variants               also check the Reference* option
-//	                                   variants admit identical history sets
 //
 // The 2-thread programs are exhausted outright; the 3- and 4-thread
 // programs stop at -max-schedules, and verdicts about *admitted*
@@ -36,7 +34,6 @@ func main() {
 		engine  = flag.String("engine", "all", "engine to check, or all: "+strings.Join(tm.Engines(), ", "))
 		litmus  = flag.String("litmus", "all", "litmus program to check, or all: "+strings.Join(mc.ProgramNames(), ", "))
 		maxSch  = flag.Int("max-schedules", 200000, "schedule bound per cell; 2-thread programs exhaust below it")
-		variant = flag.Bool("variants", false, "also run the ReferenceSets and ReferenceCache variants and require identical history sets")
 		list    = flag.Bool("list", false, "list the litmus programs and exit")
 		verbose = flag.Bool("v", false, "print every distinct history with its verdict")
 	)
@@ -77,7 +74,7 @@ func main() {
 		}
 		fmt.Printf("%s (%s)\n", eng, fam)
 		for _, prog := range progs {
-			if !checkCell(prog, eng, fam, opts, *variant, *verbose) {
+			if !checkCell(prog, eng, fam, opts, *verbose) {
 				failed = true
 			}
 		}
@@ -89,7 +86,7 @@ func main() {
 
 // checkCell explores one (program, engine) cell, prints its summary line
 // (and evidence for failures) and reports whether it passed.
-func checkCell(prog mc.Program, eng string, fam mc.Family, opts mc.Options, variants, verbose bool) bool {
+func checkCell(prog mc.Program, eng string, fam mc.Family, opts mc.Options, verbose bool) bool {
 	r, err := mc.RunLitmus(prog, eng, tm.EngineOptions{}, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sitm-check: %v\n", err)
@@ -118,11 +115,7 @@ func checkCell(prog mc.Program, eng string, fam mc.Family, opts mc.Options, vari
 	if len(violations) > 0 || verbose {
 		printCycles(prog, r)
 	}
-	ok := len(violations) == 0
-	if variants {
-		ok = checkVariants(prog, eng, opts, r) && ok
-	}
-	return ok
+	return len(violations) == 0
 }
 
 // printCycles prints the DSG cyclic components of each non-serializable
@@ -154,45 +147,4 @@ func printCycles(prog mc.Program, r *mc.Result) {
 			return
 		}
 	}
-}
-
-// checkVariants re-explores the cell under the differential option
-// variants and requires the identical history set: the fast paths they
-// shadow must never change simulated behaviour.
-func checkVariants(prog mc.Program, eng string, opts mc.Options, base *mc.Result) bool {
-	ok := true
-	for _, v := range []struct {
-		name string
-		opts tm.EngineOptions
-	}{
-		{"reference-sets", tm.EngineOptions{ReferenceSets: true}},
-		{"reference-cache", tm.EngineOptions{ReferenceCache: true}},
-	} {
-		r, err := mc.RunLitmus(prog, eng, v.opts, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sitm-check: %v\n", err)
-			os.Exit(2)
-		}
-		if !equalKeys(r.HistoryKeys(), base.HistoryKeys()) {
-			fmt.Printf("    violation: %s variant admits a different history set (%d vs %d histories)\n",
-				v.name, len(r.Histories), len(base.Histories))
-			ok = false
-		}
-	}
-	if ok {
-		fmt.Printf("    variants: reference-sets, reference-cache history sets identical\n")
-	}
-	return ok
-}
-
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package aset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -310,5 +311,65 @@ func BenchmarkWriteLogStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Store(mem.WordAddr(mem.Line(i%32), i%mem.WordsPerLine), uint64(i))
+	}
+}
+
+// homedAt returns n lines whose home slot in a minTable-slot table is
+// slot, in ascending line order.
+func homedAt(slot uint64, n int) []mem.Line {
+	shift := 64 - bits.TrailingZeros(minTable)
+	var ls []mem.Line
+	for l := mem.Line(0); len(ls) < n; l++ {
+		if hashLine(l)>>shift == slot {
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+// TestProbeWrapsAroundTable forces linear-probe chains across the end of
+// the table, which random streams over small sets rarely reach: lines
+// homed at the last slot spill into slots 0, 1, 2, and lines homed at
+// slot 0 must then probe past them. Every line must stay findable in
+// LineSet and LineMap, and a LineMap slot reused after Reset must come
+// back zeroed.
+func TestProbeWrapsAroundTable(t *testing.T) {
+	last := homedAt(minTable-1, 4)
+	first := homedAt(0, 2)
+	lines := append(append([]mem.Line{}, last...), first...)
+
+	var s LineSet
+	var m LineMap[uint64]
+	for round := 0; round < 2; round++ {
+		for i, l := range lines {
+			if !s.Add(l) {
+				t.Fatalf("round %d: LineSet.Add(%d) reported a duplicate", round, l)
+			}
+			v, inserted := m.Put(l)
+			if !inserted {
+				t.Fatalf("round %d: LineMap.Put(%d) reported a duplicate", round, l)
+			}
+			if *v != 0 {
+				t.Fatalf("round %d: LineMap.Put(%d) returned stale value %d", round, l, *v)
+			}
+			*v = uint64(i) + 1
+		}
+		if len(s.tab) != minTable || len(m.tab) != minTable {
+			t.Fatalf("tables grew to %d/%d slots; the chains must stay in one minTable table", len(s.tab), len(m.tab))
+		}
+		for i, l := range lines {
+			if !s.Contains(l) {
+				t.Fatalf("round %d: LineSet lost line %d across the wrap", round, l)
+			}
+			if s.Add(l) {
+				t.Fatalf("round %d: LineSet.Add(%d) re-inserted a present line", round, l)
+			}
+			v, ok := m.Get(l)
+			if !ok || *v != uint64(i)+1 {
+				t.Fatalf("round %d: LineMap.Get(%d) = (%v, %v), want value %d", round, l, v, ok, i+1)
+			}
+		}
+		s.Reset()
+		m.Reset()
 	}
 }

@@ -10,17 +10,15 @@
 //
 // Every probe used to pay for a full way scan plus an LRU stamp update,
 // and that loop dominated sweep wall-time. The implementation here keeps
-// the architecture of slow.go observably intact but adds a per-set MRU
-// way prediction: each set remembers its most-recently-used way, and a
-// probe first compares that single tag. A predicted hit touches one tag
-// word and updates nothing — the MRU way already carries the maximal LRU
-// stamp in its set, so skipping the stamp write preserves the relative
-// stamp order that decides every future eviction. Only mispredictions
-// fall back to the scan-and-fill path. Equivalence with the reference
-// implementation (slowLevel/SlowHierarchy in slow.go) is pinned by a
-// property test over random access/invalidate/release streams, an
-// engine-level sweep in internal/tmtest, and the harness-level
-// TestFiguresByteIdenticalFastVsSlowCache.
+// that plain scan-and-stamp LRU architecture observably intact but adds
+// a per-set MRU way prediction: each set remembers its most-recently-used
+// way, and a probe first compares that single tag. A predicted hit
+// touches one tag word and updates nothing — the MRU way already carries
+// the maximal LRU stamp in its set, so skipping the stamp write preserves
+// the relative stamp order that decides every future eviction. Only
+// mispredictions fall back to the scan-and-fill path. Equivalence with
+// the plain model (SlowHierarchy, kept in slow_test.go) is pinned by a
+// property test over random access/invalidate/release streams.
 package cache
 
 import (
@@ -57,13 +55,6 @@ type Config struct {
 	// simulations (see Scratch). It affects only allocation, never
 	// simulated behaviour. Not part of the simulated architecture.
 	Scratch *Scratch
-
-	// Reference, when true, routes every access through the verbatim
-	// pre-way-prediction implementation (SlowHierarchy) instead of the
-	// fast path. Observable behaviour is identical either way — that is
-	// exactly what the differential tests pin — so this is a debugging
-	// and verification switch, not a modelling choice.
-	Reference bool
 }
 
 // DefaultConfig returns the simulated architecture of Table 1.
@@ -258,9 +249,6 @@ type Hierarchy struct {
 	l2    *level
 	l3    *Shared
 	xlate *level
-	// ref, in Config.Reference mode, is the verbatim pre-fast-path
-	// implementation every call delegates to; Stats mirrors its stats.
-	ref   *SlowHierarchy
 	Stats Stats
 }
 
@@ -272,15 +260,11 @@ type Shared struct {
 	cfg Config
 	l3  *level
 	mvm *level
-	ref *SlowShared
 }
 
 // NewShared builds the shared L3 for cfg: the MVM partition is carved out
 // of the configured L3 size.
 func NewShared(cfg Config) *Shared {
-	if cfg.Reference {
-		return &Shared{cfg: cfg, ref: NewSlowShared(cfg)}
-	}
 	dataBytes := cfg.L3SizeBytes - cfg.MVMPartBytes
 	if dataBytes <= 0 {
 		dataBytes = cfg.L3SizeBytes
@@ -294,9 +278,6 @@ func NewShared(cfg Config) *Shared {
 
 // NewHierarchy builds one core's private hierarchy attached to shared.
 func NewHierarchy(cfg Config, shared *Shared) *Hierarchy {
-	if shared.ref != nil {
-		return &Hierarchy{cfg: cfg, l3: shared, ref: NewSlowHierarchy(cfg, shared.ref)}
-	}
 	h := &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1SizeBytes, cfg.L1Ways, cfg.Scratch), l2: newLevel(cfg.L2SizeBytes, cfg.L2Ways, cfg.Scratch), l3: shared}
 	if cfg.XlateEntries > 0 {
 		h.xlate = newLevel(cfg.XlateEntries*mem.LineBytes, 4, cfg.Scratch)
@@ -307,11 +288,6 @@ func NewHierarchy(cfg Config, shared *Shared) *Hierarchy {
 // Access charges a plain (non-versioned) access to line and returns its
 // latency in cycles.
 func (h *Hierarchy) Access(line mem.Line) uint64 {
-	if h.ref != nil {
-		lat := h.ref.Access(line)
-		h.Stats = h.ref.Stats
-		return lat
-	}
 	h.Stats.Accesses++
 	// The L1 predicted-hit probe of (*level).access is open-coded here:
 	// that method is beyond the compiler's inlining budget, and the L1
@@ -348,11 +324,6 @@ func (h *Hierarchy) Access(line mem.Line) uint64 {
 // version-list line is computed once and each probe is the single-compare
 // fast path of its level.
 func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
-	if h.ref != nil {
-		lat := h.ref.AccessVersioned(line)
-		h.Stats = h.ref.Stats
-		return lat
-	}
 	h.Stats.Accesses++
 	// Same open-coded L1 predicted-hit probe as Access.
 	l1 := h.l1
@@ -401,13 +372,7 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 // as non-interacting before batching it past the conductor's heap root
 // (sched.Thread.TickHinted): a predicted hit is purely observational, so
 // it commutes with anything a parked thread could do below the horizon.
-//
-// In Reference mode it always reports false: the oracle hierarchy's hits
-// rewrite LRU stamps, so no access is mutation-free there.
 func (h *Hierarchy) PredictedHit(line mem.Line) bool {
-	if h.ref != nil {
-		return false
-	}
 	l1 := h.l1
 	set := l1.setOf(line)
 	return line != 0 && l1.tags[set*l1.ways+int(l1.mru[set])] == line
@@ -421,10 +386,6 @@ func (h *Hierarchy) PredictedHit(line mem.Line) bool {
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
 func (h *Hierarchy) Invalidate(line mem.Line) {
-	if h.ref != nil {
-		h.ref.Invalidate(line)
-		return
-	}
 	h.l1.invalidate(line)
 	h.l2.invalidate(line)
 	if h.xlate != nil {
@@ -439,15 +400,10 @@ func (h *Hierarchy) Invalidate(line mem.Line) {
 // only. It is the right call for engines that never perform versioned
 // accesses (2PL, SONTM): their translation caches and the MVM partition
 // are never filled, so skipping those scans is observably identical to
-// the full Invalidate — in Reference mode it therefore delegates to the
-// oracle's full invalidation.
+// the full Invalidate.
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
 func (h *Hierarchy) InvalidateData(line mem.Line) {
-	if h.ref != nil {
-		h.ref.Invalidate(line)
-		return
-	}
 	h.l1.invalidate(line)
 	h.l2.invalidate(line)
 }
@@ -457,15 +413,10 @@ func (h *Hierarchy) InvalidateData(line mem.Line) {
 // it once per other core and pairs it with a single
 // Shared.InvalidateVersions per line: the partition is shared, so
 // scanning it once per core (as the fused Invalidate does) is idempotent
-// redundancy. In Reference mode it delegates to the oracle's full
-// per-core invalidation, reproducing the original redundancy exactly.
+// redundancy.
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
 func (h *Hierarchy) InvalidatePrivate(line mem.Line) {
-	if h.ref != nil {
-		h.ref.Invalidate(line)
-		return
-	}
 	h.l1.invalidate(line)
 	h.l2.invalidate(line)
 	if h.xlate != nil {
@@ -478,17 +429,10 @@ func (h *Hierarchy) InvalidatePrivate(line mem.Line) {
 // only. Presence-filtered SI-TM commits pair it with InvalidateData: the
 // translation cache is keyed at version-list-line granularity, so the set
 // of cores that may hold a translation differs from the set that may hold
-// the data line, and the two are filtered independently. In Reference
-// mode it delegates to the oracle's full per-core invalidation, whose
-// extra scans are idempotent no-ops on structures the caller's paired
-// calls already cover.
+// the data line, and the two are filtered independently.
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
 func (h *Hierarchy) InvalidateXlate(line mem.Line) {
-	if h.ref != nil {
-		h.ref.Invalidate(line)
-		return
-	}
 	if h.xlate != nil {
 		h.xlate.invalidate(xlateLine(line))
 	}
@@ -496,17 +440,10 @@ func (h *Hierarchy) InvalidateXlate(line mem.Line) {
 
 // InvalidateVersions drops the version-list line holding line's
 // indirection entry from the shared MVM partition. Pair with
-// InvalidatePrivate (or presence-filtered InvalidateData/InvalidateXlate);
-// in Reference mode it scans the oracle's partition — possibly
-// redundantly with per-core delegations, which is unobservable because
-// invalidation is idempotent.
+// InvalidatePrivate (or presence-filtered InvalidateData/InvalidateXlate).
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
 func (s *Shared) InvalidateVersions(line mem.Line) {
-	if s.ref != nil {
-		s.ref.InvalidateVersions(line)
-		return
-	}
 	if s.mvm != nil {
 		s.mvm.invalidate(xlateLine(line))
 	}

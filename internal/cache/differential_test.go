@@ -8,10 +8,10 @@ import (
 )
 
 // This file pins the way-predicted fast path in cache.go to the verbatim
-// reference implementation in slow.go at the property level: random
+// reference implementation in slow_test.go at the property level: random
 // access/invalidate/release streams must observe identical latencies and
-// identical stats from both. The engine-level pin lives in
-// internal/tmtest and the report-level pin in internal/harness.
+// identical stats from both. The report-level pin is the golden digests
+// of internal/harness (TestGolden).
 
 // diffConfigs are the geometries the property test sweeps: the paper's
 // architecture plus deliberately awkward shapes — tiny caches so random
@@ -143,38 +143,6 @@ func TestDifferentialFastVsSlow(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestReferenceModeMatchesFast pins Config.Reference: a hierarchy built
-// in reference mode must observe exactly what the fast path observes.
-func TestReferenceModeMatchesFast(t *testing.T) {
-	cfg := diffConfigs()[1]
-	fsh := NewShared(cfg)
-	fast := NewHierarchy(cfg, fsh)
-	rcfg := cfg
-	rcfg.Reference = true
-	rsh := NewShared(rcfg)
-	ref := NewHierarchy(rcfg, rsh)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		line := mem.Line(rng.Intn(192) + 1)
-		if rng.Intn(3) == 0 {
-			if got, want := fast.AccessVersioned(line), ref.AccessVersioned(line); got != want {
-				t.Fatalf("AccessVersioned(%d) = %d fast, %d reference", line, got, want)
-			}
-		} else {
-			if got, want := fast.Access(line), ref.Access(line); got != want {
-				t.Fatalf("Access(%d) = %d fast, %d reference", line, got, want)
-			}
-		}
-		if rng.Intn(10) == 0 {
-			fast.Invalidate(line)
-			ref.Invalidate(line)
-		}
-	}
-	if fast.Stats != ref.Stats {
-		t.Fatalf("stats diverge: fast %+v, reference %+v", fast.Stats, ref.Stats)
 	}
 }
 

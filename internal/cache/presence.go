@@ -30,15 +30,8 @@ type Presence struct {
 }
 
 // NewPresence returns a presence filter, reusing a pristine recycled bit
-// table from s when one is available (s may be nil). When reference is
-// set the filter uses the retained dense backing (the house Reference
-// pattern); reference tables are never pooled.
-func NewPresence(s *Scratch, reference bool) Presence {
-	if reference {
-		var p Presence
-		p.bits.SetReference()
-		return p
-	}
+// table from s when one is available (s may be nil).
+func NewPresence(s *Scratch) Presence {
 	if s != nil && len(s.presence) > 0 {
 		p := s.presence[len(s.presence)-1]
 		s.presence = s.presence[:len(s.presence)-1]
@@ -49,10 +42,9 @@ func NewPresence(s *Scratch, reference bool) Presence {
 
 // Release resets the bit table in O(dirty pages) and donates it to s for
 // the next cell's NewPresence. The Presence must not be used afterwards.
-// Safe with a nil Scratch (the table is left to the garbage collector);
-// reference-backed tables are never pooled.
+// Safe with a nil Scratch (the table is left to the garbage collector).
 func (p *Presence) Release(s *Scratch) {
-	if s == nil || p.bits.Reference() {
+	if s == nil {
 		return
 	}
 	p.bits.Reset()

@@ -4,16 +4,16 @@ import "repro/internal/mem"
 
 // This file retains the pre-fast-path memory-hierarchy model verbatim as
 // the differential oracle for the way-predicted implementation in
-// cache.go, mirroring the sched.Run/sched.Slow pattern: slowLevel and
-// SlowHierarchy are the readable specification of the simulated
-// architecture, and the property/engine/harness-level differential tests
-// pin that the fast path charges identical latencies, produces identical
-// stats and evicts identical lines for any access stream.
+// cache.go: slowLevel and SlowHierarchy are the readable specification of
+// the simulated architecture (a plain scan-and-stamp LRU), and the
+// property tests in differential_test.go pin that the fast path charges
+// identical latencies, produces identical stats and evicts identical
+// lines for any access stream.
 //
 // The only deliberate deviations from the original implementation are
 // that Stats.Accesses is counted (the field postdates the original) and
-// that slow levels never pool their arrays (the oracle runs in tests and
-// reference sweeps, where allocation cost is irrelevant).
+// that slow levels never pool their arrays (the oracle runs only in
+// tests, where allocation cost is irrelevant).
 
 // slowLevel is one set-associative cache with LRU replacement. Power-of-
 // two set counts index with a mask; other sizes (e.g. the 24 MiB data

@@ -34,10 +34,6 @@ func configFor(o tm.EngineOptions, serializable bool) Config {
 	if o.NoXlate {
 		cfg.Cache.XlateEntries = 0
 	}
-	cfg.Cache.Reference = o.ReferenceCache
 	cfg.Cache.Scratch = o.CacheScratch
-	cfg.ReferenceSets = o.ReferenceSets
-	cfg.ReferenceStore = o.ReferenceStore
-	cfg.MVM.ReferenceStore = o.ReferenceStore
 	return cfg
 }

@@ -13,9 +13,7 @@
 //
 // Access tracking uses the signature-backed tables of internal/aset
 // (write sets, promoted-read sets, and epoch-stamped visible-reader
-// records), mirroring the fixed hardware set structures of real HTMs. The
-// pre-aset map-based engine is kept verbatim in slow.go as a differential
-// oracle behind Config.ReferenceSets.
+// records), mirroring the fixed hardware set structures of real HTMs.
 package core
 
 import (
@@ -53,17 +51,6 @@ type Config struct {
 	// CommitOverhead is the fixed cycle cost of obtaining an end
 	// timestamp and initiating the commit.
 	CommitOverhead uint64
-	// ReferenceSets routes transactions through the verbatim map-based
-	// access-set implementation (slow.go), the differential oracle for
-	// the aset fast path. Results are bit-identical to the default; only
-	// simulator wall time changes.
-	ReferenceSets bool
-	// ReferenceStore backs the presence filters (and, via MVM.
-	// ReferenceStore, the version table) with the retained dense mem
-	// store instead of the paged one, the differential oracle for the
-	// paged backing. Results are bit-identical to the default; only
-	// memory footprint changes.
-	ReferenceStore bool
 }
 
 // DefaultConfig mirrors the evaluated system: 4 versions with
@@ -132,19 +119,11 @@ type Engine struct {
 	// recycling bumps the epoch exactly as for reader records.
 	lastWriter aset.LineMap[writerRec]
 
-	// slow holds the reference map-based implementation state (slow.go),
-	// nil unless cfg.ReferenceSets.
-	slow *slowState
-
 	// batch enables the horizon-batched access path (sched.TickHinted):
-	// plain SI-TM with the fast cache model, fast access sets and no
-	// tracer. SSI-TM is excluded — its read paths mutate shared reader
-	// tables and its read-only commits take order-sensitive clock reads —
-	// as are the reference models, whose hits rewrite observable state.
-	// batchable holds the configuration-derived part; batch additionally
-	// requires no tracer (SetTracer recomputes it).
-	batch     bool
-	batchable bool
+	// plain SI-TM with no tracer. SSI-TM is excluded — its read paths
+	// mutate shared reader tables and its read-only commits take
+	// order-sensitive clock reads. SetTracer recomputes it.
+	batch bool
 }
 
 // New creates an SI-TM engine.
@@ -160,15 +139,11 @@ func New(cfg Config) *Engine {
 		shared:    cache.NewShared(cfg.Cache),
 		promoted:  make(map[string]bool),
 		lastTxn:   make(map[int]*txn),
-		presence:  cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
-		xpresence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
+		presence:  cache.NewPresence(cfg.Cache.Scratch),
+		xpresence: cache.NewPresence(cfg.Cache.Scratch),
 	}
 	e.liveReader = e.readerLive
-	if cfg.ReferenceSets {
-		e.slow = newSlowState(cfg.Serializable)
-	}
-	e.batchable = !cfg.Serializable && !cfg.ReferenceSets && !cfg.Cache.Reference
-	e.batch = e.batchable
+	e.batch = !cfg.Serializable
 	return e
 }
 
@@ -192,7 +167,7 @@ func (e *Engine) Promote(site string) { e.promoted[site] = true }
 // order, so it also disables the horizon-batched access path.
 func (e *Engine) SetTracer(tr tm.Tracer) {
 	e.tracer = tr
-	e.batch = e.batchable && tr == nil
+	e.batch = !e.cfg.Serializable && tr == nil
 }
 
 // MVM exposes the engine's multiversioned memory for measurement
@@ -255,13 +230,8 @@ func (e *Engine) ReleaseCaches() {
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: every recycled transaction object holds empty
 // sets, and every reader list compacts to nothing once no transaction is
-// active. tmtest calls it after each conformance cell. The reference
-// (map-based) path keeps the pre-aset engine's own lifecycle — maps are
-// cleared at Begin, readers pruned periodically — so it is not audited.
+// active. tmtest calls it after each conformance cell.
 func (e *Engine) AuditAccessSets() error {
-	if e.cfg.ReferenceSets {
-		return nil
-	}
 	for id, tx := range e.lastTxn {
 		if tx == nil {
 			continue
@@ -376,9 +346,6 @@ type writerRec struct {
 // the software rendering of the paper's starter stall (§4.2) — then takes
 // a unique start timestamp, which creates the logical snapshot.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	for e.clk.MustStall() {
 		e.clk.Stalls++
 		e.stats.Stalls++

@@ -59,22 +59,6 @@ type CellConfig struct {
 	// RefSched runs the cell under the reference linear-scan conductor
 	// (sched.Sim.Slow) instead of the inline fast path.
 	RefSched bool `json:"ref_sched,omitempty"`
-	// PerEvent runs the heap conductor with horizon batching disabled
-	// (sched.Sim.SetPerEvent): every charge goes through the per-event
-	// protocol. It is the differential baseline the batched conductor is
-	// pinned against, and the reference point for the coroutine-switch
-	// counters in sched_stats.
-	PerEvent bool `json:"per_event,omitempty"`
-	// RefCache runs the cell with the reference memory-hierarchy model
-	// (cache.SlowHierarchy) instead of the way-predicted fast path.
-	RefCache bool `json:"ref_cache,omitempty"`
-	// RefSets runs the cell with the reference map-based access-set
-	// implementation instead of the internal/aset fast path.
-	RefSets bool `json:"ref_sets,omitempty"`
-	// RefStore runs the cell with the retained dense mem backing for the
-	// engines' per-word/per-line tables, the MVM's version table and the
-	// presence filters, instead of the paged fast path (mem.Paged).
-	RefStore bool `json:"ref_store,omitempty"`
 }
 
 // engineOptions maps the cell knobs onto the registry's
@@ -86,9 +70,6 @@ func (c CellConfig) engineOptions() tm.EngineOptions {
 		DropOldest:        c.DropOldest,
 		NoCoalescing:      c.NoCoalescing,
 		NoXlate:           c.NoXlate,
-		ReferenceCache:    c.RefCache,
-		ReferenceSets:     c.RefSets,
-		ReferenceStore:    c.RefStore,
 	}
 }
 
@@ -130,8 +111,9 @@ type CellResult struct {
 
 	// Sched counts the conductor's work for the cell (deterministic, so
 	// cacheable like every other counter). Diagnostic only: no figure or
-	// table renders it, so batched and per-event runs of the same cell
-	// produce byte-identical figures while differing here.
+	// table renders it, so runs of the same cell under the batched and
+	// the reference conductor (RefSched) produce byte-identical figures
+	// while differing here.
 	Sched sched.Stats `json:"sched_stats"`
 
 	// Filled only under CellConfig.MeasureMVM (the §3.1–§3.3 report).
@@ -184,7 +166,6 @@ func ExecuteCell(c Cell, cfg CellConfig, factory func() Workload, warm WarmState
 	m := txlib.NewMem(e)
 	w.Setup(m, c.Threads)
 	s := sched.New(c.Threads, c.Seed)
-	s.SetPerEvent(cfg.PerEvent)
 	body := func(th *sched.Thread) { w.Run(m, th, warm.bo) }
 	if cfg.RefSched {
 		s.Slow(body)

@@ -77,13 +77,13 @@ func (p Provenance) CellKey(c Cell, cfg CellConfig) string {
 		scale = 1 // the cell layer treats Scale<=1 as the fast defaults
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "sitm-cell-v2\n")
+	fmt.Fprintf(&b, "sitm-cell-v3\n")
 	fmt.Fprintf(&b, "workload=%s\nengine=%s\nthreads=%d\nseed=%d\n",
 		strings.ToLower(c.Workload), strings.ToLower(c.Engine), c.Threads, c.Seed)
 	fmt.Fprintf(&b, "word=%t\nunbounded=%t\ndropoldest=%t\nnocoalescing=%t\nnoxlate=%t\nnobackoff=%t\nscale=%d\nmeasuremvm=%t\n",
 		cfg.WordGranularity, cfg.UnboundedVersions, cfg.DropOldest, cfg.NoCoalescing,
 		cfg.NoXlate, cfg.NoBackoff, scale, cfg.MeasureMVM)
-	fmt.Fprintf(&b, "refsched=%t\nrefcache=%t\nrefsets=%t\nrefstore=%t\n", cfg.RefSched, cfg.RefCache, cfg.RefSets, cfg.RefStore)
+	fmt.Fprintf(&b, "refsched=%t\n", cfg.RefSched)
 	fmt.Fprintf(&b, "go=%s\nsim=%s\nenginesrc=%s\n", p.GoVersion, p.Sim, p.engineFingerprint(c.Engine))
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }

@@ -104,13 +104,6 @@ type Options struct {
 	// larger values approach the paper's configurations at the cost of
 	// wall-clock time).
 	Scale int
-	// PerEvent runs the fast heap conductor with horizon batching
-	// disabled: every charge goes through the per-event protocol, as it
-	// did before multi-event quanta existed. Figures are byte-identical
-	// either way — the knob exists as the differential baseline for the
-	// batched conductor and as the reference point for the
-	// coroutine-switch counters in sched_stats.
-	PerEvent bool
 	// CellDone, when non-nil, receives every completed cell and its
 	// full result record (the benchmark harness sums makespans into a
 	// simulated-throughput figure and accumulates scheduler counters).
@@ -125,21 +118,6 @@ type Options struct {
 	// conductor (sched.Sim.Slow) instead of the inline fast path; the
 	// differential tests use it to pin byte-identical figure output.
 	refSched bool
-	// refCache runs every cell with the reference memory-hierarchy
-	// model (cache.SlowHierarchy) instead of the way-predicted fast
-	// path; the differential tests use it to pin byte-identical figure
-	// output.
-	refCache bool
-	// refSets runs every cell with the reference map-based access-set
-	// implementation (each engine's slow.go) instead of the
-	// signature-backed internal/aset fast path; the differential tests
-	// use it to pin byte-identical figure output.
-	refSets bool
-	// refStore runs every cell with the retained dense mem backing
-	// behind the engines' per-line tables and presence filters instead
-	// of the paged O(touched) store; the differential tests use it to
-	// pin byte-identical figure output.
-	refStore bool
 }
 
 // DefaultOptions returns the evaluation defaults.
@@ -167,10 +145,6 @@ func (o Options) cellConfig() exp.CellConfig {
 		Scale:             o.Scale,
 		MeasureMVM:        o.measureMVM,
 		RefSched:          o.refSched,
-		PerEvent:          o.PerEvent,
-		RefCache:          o.refCache,
-		RefSets:           o.refSets,
-		RefStore:          o.refStore,
 	}
 }
 

@@ -12,71 +12,80 @@ import (
 
 // figureBytes renders Figure 7 and Figure 8 for a restricted workload set
 // and returns the raw table bytes.
-func figureBytes(t *testing.T, o Options) []byte {
-	t.Helper()
+func figureBytes(o Options) []byte {
 	var buf bytes.Buffer
 	Figure7(&buf, o)
 	Figure8(&buf, o)
 	return buf.Bytes()
 }
 
+// conductorSweep is one Figure 7/8 sweep's bytes and summed conductor
+// counters.
+type conductorSweep struct {
+	bytes []byte
+	stats sched.Stats
+}
+
+// conductorSweeps runs the restricted Figure 7/8 sweep once under the
+// batched heap conductor and once under the reference linear-scan
+// conductor, which schedules strictly per event. The two report-level
+// conductor gates share the result.
+var conductorSweeps = sync.OnceValues(func() (batched, reference conductorSweep) {
+	sweep := func(refSched bool) conductorSweep {
+		var sw conductorSweep
+		var mu sync.Mutex
+		o := Options{Seeds: []uint64{1}, Only: []string{"List"}, refSched: refSched,
+			CellDone: func(_ exp.Cell, res exp.CellResult) {
+				mu.Lock()
+				sw.stats.Add(res.Sched)
+				mu.Unlock()
+			}}
+		sw.bytes = figureBytes(o)
+		return sw
+	}
+	return sweep(false), sweep(true)
+})
+
 // TestFiguresByteIdenticalFastVsSlow is the acceptance gate for the
 // scheduler fast path at the report level: the Figure 7 and Figure 8
-// tables must be byte-identical whether the cells run under the inline
-// fast-path conductor or the reference linear-scan conductor. The
-// per-trace differential tests live in internal/sched; this one proves
-// the property survives engines, workloads, seed averaging and table
-// rendering.
+// tables must be byte-identical whether the cells run under the batched
+// heap conductor or the reference linear-scan conductor. The per-trace
+// differential tests live in internal/sched; this one proves the property
+// survives engines, workloads, seed averaging and table rendering.
 func TestFiguresByteIdenticalFastVsSlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full figure sweeps")
 	}
-	o := Options{Seeds: []uint64{1}, Only: []string{"List"}}
-	fast := figureBytes(t, o)
-	o.refSched = true
-	slow := figureBytes(t, o)
-	if !bytes.Equal(fast, slow) {
-		t.Fatalf("figure output diverges between conductors:\n--- fast ---\n%s\n--- slow ---\n%s", fast, slow)
+	fast, slow := conductorSweeps()
+	if !bytes.Equal(fast.bytes, slow.bytes) {
+		t.Fatalf("figure output diverges between conductors:\n--- fast ---\n%s\n--- slow ---\n%s", fast.bytes, slow.bytes)
 	}
 }
 
 // TestFiguresByteIdenticalBatchedVsPerEvent is the acceptance gate for
-// horizon batching at the report level: the Figure 7 and Figure 8 tables
-// must be byte-identical whether the conductor runs multi-event quanta
-// (the default) or schedules strictly per event (Options.PerEvent, the
-// -per-event flag). It also asserts batching actually engaged — cells
-// must report batched events and strictly fewer coroutine switches than
-// the per-event baseline, or the gate would pass vacuously.
+// horizon batching at the report level: the same two sweeps, read as
+// batched against per-event (the reference conductor charges every event
+// separately), must be byte-identical, and batching must actually have
+// engaged — the batched sweep must report batched events and strictly
+// fewer coroutine switches than the per-event one, or the byte gate would
+// pass vacuously.
 func TestFiguresByteIdenticalBatchedVsPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full figure sweeps")
 	}
-	var batched, perEvent sched.Stats
-	collect := func(into *sched.Stats) func(exp.Cell, exp.CellResult) {
-		var mu sync.Mutex
-		return func(_ exp.Cell, res exp.CellResult) {
-			mu.Lock()
-			into.Add(res.Sched)
-			mu.Unlock()
-		}
+	batched, perEvent := conductorSweeps()
+	if !bytes.Equal(batched.bytes, perEvent.bytes) {
+		t.Fatalf("figure output diverges between batched and per-event conductors:\n--- batched ---\n%s\n--- per-event ---\n%s", batched.bytes, perEvent.bytes)
 	}
-	o := Options{Seeds: []uint64{1}, Only: []string{"List"}, CellDone: collect(&batched)}
-	fast := figureBytes(t, o)
-	o.PerEvent = true
-	o.CellDone = collect(&perEvent)
-	ref := figureBytes(t, o)
-	if !bytes.Equal(fast, ref) {
-		t.Fatalf("figure output diverges between batched and per-event conductors:\n--- batched ---\n%s\n--- per-event ---\n%s", fast, ref)
+	if batched.stats.BatchedEvents == 0 {
+		t.Fatalf("batched sweep ran no batched events: %+v", batched.stats)
 	}
-	if batched.BatchedEvents == 0 {
-		t.Fatalf("batched sweep ran no batched events: %+v", batched)
+	if perEvent.stats.BatchedEvents != 0 {
+		t.Fatalf("per-event sweep batched %d events", perEvent.stats.BatchedEvents)
 	}
-	if perEvent.BatchedEvents != 0 {
-		t.Fatalf("per-event sweep batched %d events", perEvent.BatchedEvents)
-	}
-	if batched.CoroutineSwitches >= perEvent.CoroutineSwitches {
+	if batched.stats.CoroutineSwitches >= perEvent.stats.CoroutineSwitches {
 		t.Fatalf("batched sweep switched %d times, per-event %d: batching should reduce switches",
-			batched.CoroutineSwitches, perEvent.CoroutineSwitches)
+			batched.stats.CoroutineSwitches, perEvent.stats.CoroutineSwitches)
 	}
 }
 

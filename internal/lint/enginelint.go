@@ -15,8 +15,8 @@ import (
 // and in register.go files (the registration glue). Access tracking
 // (PR 5): inside packages that define an engine, per-transaction
 // read/write sets are the signature-backed tables of internal/aset, not
-// mem.Line-keyed Go maps; map-based tracking is allowed only in slow.go,
-// the verbatim reference oracle behind EngineOptions.ReferenceSets.
+// mem.Line-keyed Go maps, in every non-test file of the package: each
+// engine has exactly one implementation of its access tracking.
 var EngineLint = &Analyzer{
 	Name: "enginelint",
 	Doc: `engines must be constructed through the tm registry and track accesses with internal/aset
@@ -30,8 +30,8 @@ New constructor.
 A mem.Line-keyed map in an engine package reintroduces the map-backed
 access tracking the aset fast path replaced: it allocates per
 transaction, hashes per access, and resets in O(capacity). Use
-aset.LineSet / aset.LineMap / aset.WriteLog; the only map-based sets
-allowed are in slow.go, the unchanged reference oracle.`,
+aset.LineSet / aset.LineMap / aset.WriteLog. Map-based models belong in
+_test.go files, where the aset property tests pin against them.`,
 	Run: runEngineLint,
 }
 
@@ -98,13 +98,11 @@ func packageDefinesEngine(pkg *types.Package, iface *types.Interface) bool {
 	return false
 }
 
-// checkLineMaps flags mem.Line-keyed map types anywhere outside the
-// reference oracle (slow.go) and tests: engine access sets must use
-// internal/aset.
+// checkLineMaps flags mem.Line-keyed map types anywhere outside tests:
+// engine access sets must use internal/aset.
 func checkLineMaps(pass *Pass) {
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if base == "slow.go" || strings.HasSuffix(base, "_test.go") {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -116,7 +114,7 @@ func checkLineMaps(pass *Pass) {
 			if key == nil || !isMemLine(key) {
 				return true
 			}
-			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineSet/LineMap/WriteLog); map-based tracking is allowed only in slow.go, the reference oracle")
+			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineSet/LineMap/WriteLog)")
 			return true
 		})
 	}

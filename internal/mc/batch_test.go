@@ -63,10 +63,11 @@ func project(h *History, keep func(Op) bool) string {
 
 // TestLitmusBatchedVsPerEvent pins horizon batching on the litmus corpus:
 // a single concrete execution of every program, on every engine, is
-// simulation-equivalent whether the conductor batches multi-event quanta
-// or schedules strictly per event — every thread performs the same ops
-// and reads the same values, commits and aborts happen in the same global
-// order, and memory ends in the same state.
+// simulation-equivalent whether the heap conductor batches multi-event
+// quanta or the reference conductor (sched.Sim.Slow) schedules strictly
+// per event — every thread performs the same ops and reads the same
+// values, commits and aborts happen in the same global order, and memory
+// ends in the same state.
 //
 // The full global interleaving of the *recorded* history is deliberately
 // not compared for the batched run: mc's Tx appends ops in real execution
@@ -76,21 +77,11 @@ func project(h *History, keep func(Op) bool) string {
 // contract, and tracers disable batching (core.SetTracer); the model
 // checker itself always schedules per event (TestRunChooseNeverBatches).
 func TestLitmusBatchedVsPerEvent(t *testing.T) {
-	perEvent := func(s *sched.Sim, body func(*sched.Thread)) {
-		s.SetPerEvent(true)
-		s.Run(body)
-	}
 	for _, prog := range Programs() {
 		for _, engine := range tm.Engines() {
 			t.Run(prog.Name+"/"+engine, func(t *testing.T) {
 				b := runLitmusOnce(t, prog, engine, (*sched.Sim).Run)
-				p := runLitmusOnce(t, prog, engine, perEvent)
-				s := runLitmusOnce(t, prog, engine, (*sched.Sim).Slow)
-				// Per-event heap conductor vs reference conductor: the
-				// whole recorded interleaving must match.
-				if pk, sk := p.hist.Key(), s.hist.Key(); pk != sk {
-					t.Errorf("per-event history diverges from reference conductor:\nper-event %s\nslow      %s", pk, sk)
-				}
+				p := runLitmusOnce(t, prog, engine, (*sched.Sim).Slow)
 				// Batched vs per-event: same per-thread op streams...
 				for id := range prog.Threads {
 					keep := func(op Op) bool { return op.Txn == id }
@@ -118,15 +109,12 @@ func TestLitmusBatchedVsPerEvent(t *testing.T) {
 // every schedule the explorer thinks it enumerated is a schedule that
 // actually happened, recorded in exact simulated order. The default
 // chooser implements the production policy, so its full history must
-// match the per-event heap conductor's byte for byte.
+// match the per-event reference conductor's byte for byte.
 func TestRunChooseNeverBatches(t *testing.T) {
 	for _, prog := range Programs() {
 		for _, engine := range tm.Engines() {
 			t.Run(prog.Name+"/"+engine, func(t *testing.T) {
-				p := runLitmusOnce(t, prog, engine, func(s *sched.Sim, body func(*sched.Thread)) {
-					s.SetPerEvent(true)
-					s.Run(body)
-				})
+				p := runLitmusOnce(t, prog, engine, (*sched.Sim).Slow)
 				c := runLitmusOnce(t, prog, engine, func(s *sched.Sim, body func(*sched.Thread)) {
 					s.RunChoose(body, sched.DefaultChooser{})
 				})

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	_ "repro/internal/core"
 	_ "repro/internal/sontm"
 	"repro/internal/tm"
@@ -101,24 +102,35 @@ func TestEngineFamilyKnown(t *testing.T) {
 	}
 }
 
-// TestVariantHistorySets pins that the differential option variants — the
-// map-based reference access sets and the pre-fast-path reference cache
-// model — admit exactly the same history set as the default fast paths,
-// schedule space and all. A divergence would mean the fast path changed
-// simulated behaviour, not just wall time.
+// TestVariantHistorySets pins that option variants which must not change
+// simulated semantics admit exactly the same history set as the default
+// engine, schedule space and all: engines whose cache arrays and presence
+// pages are recycled from a scratch another exploration left dirty (the
+// fast path's O(touched) reset), and the two cost-only ablations that
+// drop the translation cache and version coalescing. A divergence would
+// mean a cost mechanism leaked into behaviour.
 func TestVariantHistorySets(t *testing.T) {
-	variants := []struct {
-		name string
-		opts tm.EngineOptions
-	}{
-		{"reference-sets", tm.EngineOptions{ReferenceSets: true}},
-		{"reference-cache", tm.EngineOptions{ReferenceCache: true}},
-	}
 	progs := []string{"write-skew"}
 	for _, engine := range tm.Engines() {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			t.Parallel()
+			dirty := cache.NewScratch()
+			warm, err := ProgramByName("lost-update")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunLitmus(warm, engine, tm.EngineOptions{CacheScratch: dirty}, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			variants := []struct {
+				name string
+				opts tm.EngineOptions
+			}{
+				{"recycled-cache", tm.EngineOptions{CacheScratch: dirty}},
+				{"no-xlate", tm.EngineOptions{NoXlate: true}},
+				{"no-coalescing", tm.EngineOptions{NoCoalescing: true}},
+			}
 			names := progs
 			if engine == "2PL" {
 				// Also cover the zombie-read-admitting cell.

@@ -33,7 +33,8 @@ type Result struct {
 }
 
 // HistoryKeys returns the sorted distinct history keys — the history
-// *set*, which the Reference* option variants must reproduce exactly.
+// *set*, which option variants that leave semantics alone must reproduce
+// exactly.
 func (r *Result) HistoryKeys() []string {
 	keys := make([]string, len(r.Histories))
 	for i := range r.Histories {

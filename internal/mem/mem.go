@@ -29,6 +29,11 @@ func LineOf(a Addr) Line { return Line(a >> lineShift) }
 // WordOf returns the word index of a within its line, in [0, WordsPerLine).
 func WordOf(a Addr) int { return int(a>>wordShift) & (WordsPerLine - 1) }
 
+// WordIndex returns a's global word number (Addr >> 3). It is the natural
+// key for word-granular side tables: simulated addresses come from the
+// bump allocator, so word numbers are small and dense.
+func WordIndex(a Addr) uint64 { return uint64(a) >> wordShift }
+
 // WordAddr returns the word-aligned address of word w within line l.
 func WordAddr(l Line, w int) Addr { return Addr(l)<<lineShift | Addr(w)<<wordShift }
 

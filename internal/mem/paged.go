@@ -1,16 +1,16 @@
 package mem
 
-// Paged is a page-granular sparse table keyed by the same small dense
-// indices as Dense — word numbers (WordIndex) or line numbers — built for
-// serving-scale footprints: a 10⁶+-line address span where a cell touches
-// only a sliver of it. Dense grows to the maximum index ever touched, so
-// one stray access at index 2²⁴ allocates (and later makes the collector
-// walk) the whole prefix. Paged allocates fixed-size pages lazily on
-// first write, so the heap tracks the *touched* pages, not the address
-// span, and teardown/GC cost does too.
+// Paged is a page-granular sparse table keyed by small dense indices —
+// word numbers (WordIndex) or line numbers — built for serving-scale
+// footprints: a 10⁶+-line address span where a cell touches only a
+// sliver of it. A flat slice would grow to the maximum index ever
+// touched, so one stray access at index 2²⁴ would allocate (and later
+// make the collector walk) the whole prefix. Paged allocates fixed-size
+// pages lazily on first write, so the heap tracks the *touched* pages,
+// not the address span, and teardown/GC cost does too.
 //
-// Pages never move once allocated, so — unlike Dense.Slot — a pointer
-// returned by Slot stays valid across later growth.
+// Pages never move once allocated, so a pointer returned by Slot stays
+// valid across later growth.
 //
 // Dirty pages are tracked the same way the cache hierarchy tracks dirty
 // replacement-state sets (cache.level dirtyBits/dirtySets): Slot/Store
@@ -18,15 +18,11 @@ package mem
 // clears exactly those pages — reset-to-pristine in O(touched), keeping
 // the page allocations for reuse.
 //
-// The zero Paged is empty and ready to use. SetReference switches the
-// table to the retained dense backing (Dense, verbatim) — the
-// differential oracle the paged fast path is pinned against at the
-// property, engine-registry and report byte-identity levels, following
-// the house Reference pattern.
+// The zero Paged is empty and ready to use. Its property tests pin it
+// against a flat slice-backed table (Dense, in dense_test.go).
 type Paged[T any] struct {
 	pages []*pageOf[T]
 	dirty []int32 // indices of pages mutated since the last Reset
-	ref   *Dense[T]
 }
 
 // Page geometry: 4096 entries per page. At 8-byte entries a page is
@@ -39,10 +35,10 @@ const (
 	PageEntries = 1 << pageShift
 	pageMask    = PageEntries - 1
 
-	// maxPageIndex bounds the page spine like MaxDenseEntries bounds
-	// Dense: a sparse-key bug (an address computed from corrupt data)
-	// fails loudly instead of allocating an enormous spine. 2²⁶ pages
-	// cover indices up to 2³⁸ — far past any simulated footprint.
+	// maxPageIndex bounds the page spine: a sparse-key bug (an address
+	// computed from corrupt data) fails loudly instead of allocating an
+	// enormous spine. 2²⁶ pages cover indices up to 2³⁸ — far past any
+	// simulated footprint.
 	maxPageIndex = 1 << 26
 )
 
@@ -53,24 +49,9 @@ type pageOf[T any] struct {
 	v     [PageEntries]T
 }
 
-// SetReference switches the table to the retained dense backing. It must
-// be called before the first access; engines call it at construction
-// when EngineOptions.ReferenceStore is set.
-func (p *Paged[T]) SetReference() {
-	if p.ref == nil {
-		p.ref = &Dense[T]{}
-	}
-}
-
-// Reference reports whether the table uses the retained dense backing.
-func (p *Paged[T]) Reference() bool { return p.ref != nil }
-
 // Load returns the value at index i, or the zero value when i was never
 // stored. It never allocates: reading an absent page leaves it absent.
 func (p *Paged[T]) Load(i uint64) T {
-	if p.ref != nil {
-		return p.ref.Load(i)
-	}
 	pi := i >> pageShift
 	if pi < uint64(len(p.pages)) {
 		if pg := p.pages[pi]; pg != nil {
@@ -85,9 +66,6 @@ func (p *Paged[T]) Load(i uint64) T {
 // first touch. The pointer stays valid across later growth (pages never
 // move). The page is marked dirty: Reset will clear it.
 func (p *Paged[T]) Slot(i uint64) *T {
-	if p.ref != nil {
-		return p.ref.Slot(i)
-	}
 	pi := i >> pageShift
 	var pg *pageOf[T]
 	if pi < uint64(len(p.pages)) {
@@ -134,14 +112,8 @@ func (p *Paged[T]) grow(pi uint64) *pageOf[T] {
 
 // Reset returns the table to pristine (every Load yields the zero value)
 // in O(pages touched since the last Reset), keeping page allocations for
-// reuse — the cache.dirtySets pattern at page granularity. Under the
-// dense reference backing the reset is the reference cost: a clear of
-// the whole grown prefix.
+// reuse — the cache.dirtySets pattern at page granularity.
 func (p *Paged[T]) Reset() {
-	if p.ref != nil {
-		clear(p.ref.v)
-		return
-	}
 	for _, pi := range p.dirty {
 		pg := p.pages[pi]
 		clear(pg.v[:])
@@ -151,17 +123,11 @@ func (p *Paged[T]) Reset() {
 }
 
 // Range calls f for every slot of every allocated page in ascending
-// index order — deterministic by construction, like Dense.Slice with the
-// absent pages skipped. Entries in never-touched pages hold the zero
+// index order — deterministic by construction, with the absent pages
+// skipped. Entries in never-touched pages hold the zero
 // value and are not visited; callers already treat zero entries as
 // absent. The *T argument aliases the table slot.
 func (p *Paged[T]) Range(f func(i uint64, v *T)) {
-	if p.ref != nil {
-		for i := range p.ref.v {
-			f(uint64(i), &p.ref.v[i])
-		}
-		return
-	}
 	for pi, pg := range p.pages {
 		if pg == nil {
 			continue
@@ -175,12 +141,8 @@ func (p *Paged[T]) Range(f func(i uint64, v *T)) {
 
 // Pages returns the number of allocated pages — the footprint metric the
 // serving-scale tests assert on (heap ∝ touched pages, not address
-// span). Under the dense reference backing it reports the equivalent
-// page count of the grown prefix.
+// span).
 func (p *Paged[T]) Pages() int {
-	if p.ref != nil {
-		return (len(p.ref.v) + PageEntries - 1) / PageEntries
-	}
 	n := 0
 	for _, pg := range p.pages {
 		if pg != nil {
@@ -194,8 +156,5 @@ func (p *Paged[T]) Pages() int {
 // the exact cost of the next Reset, exposed so tests can pin the
 // O(touched) bound.
 func (p *Paged[T]) DirtyPages() int {
-	if p.ref != nil {
-		return (len(p.ref.v) + PageEntries - 1) / PageEntries
-	}
 	return len(p.dirty)
 }

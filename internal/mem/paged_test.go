@@ -5,15 +5,14 @@ import (
 	"testing"
 )
 
-// TestPagedDifferential pins the paged store against the retained dense
-// Reference backing: random interleavings of loads, stores, slot
-// mutations and resets must observe identical values throughout.
+// TestPagedDifferential pins the paged store against the flat Dense
+// model: random interleavings of loads, stores, slot mutations and
+// resets must observe identical values throughout.
 func TestPagedDifferential(t *testing.T) {
 	for _, span := range []uint64{100, PageEntries, 3 * PageEntries} {
 		r := rand.New(rand.NewPCG(42, span))
 		var fast Paged[uint64]
-		var slow Paged[uint64]
-		slow.SetReference()
+		var slow Dense[uint64]
 		for op := 0; op < 20000; op++ {
 			i := r.Uint64N(span)
 			switch r.IntN(10) {
@@ -44,12 +43,11 @@ func TestPagedDifferential(t *testing.T) {
 	}
 }
 
-// TestPagedRangeMatchesReference checks Range visits exactly the slots the
-// reference backing would report as non-zero, in ascending order.
+// TestPagedRangeMatchesReference checks Range visits, in ascending
+// order, exactly the slots the flat Dense model holds as non-zero.
 func TestPagedRangeMatchesReference(t *testing.T) {
 	var fast Paged[uint64]
-	var slow Paged[uint64]
-	slow.SetReference()
+	var slow Dense[uint64]
 	r := rand.New(rand.NewPCG(7, 7))
 	for k := 0; k < 500; k++ {
 		i := r.Uint64N(8 * PageEntries)
@@ -71,7 +69,13 @@ func TestPagedRangeMatchesReference(t *testing.T) {
 		})
 		return m
 	}
-	got, want := collect(&fast), collect(&slow)
+	want := make(map[uint64]uint64)
+	for i, v := range slow.Slice() {
+		if v != 0 {
+			want[uint64(i)] = v
+		}
+	}
+	got := collect(&fast)
 	if len(got) != len(want) {
 		t.Fatalf("Range saw %d non-zero slots, reference %d", len(got), len(want))
 	}
@@ -140,16 +144,4 @@ func TestPagedBound(t *testing.T) {
 	}()
 	var p Paged[uint64]
 	p.Slot(uint64(maxPageIndex) * PageEntries)
-}
-
-// TestDenseBound checks Dense growth fails loudly instead of allocating
-// the whole address-space prefix.
-func TestDenseBound(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dense.Slot beyond MaxDenseEntries did not panic")
-		}
-	}()
-	var d Dense[uint64]
-	d.Slot(MaxDenseEntries)
 }

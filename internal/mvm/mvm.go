@@ -56,11 +56,6 @@ type Config struct {
 	// version replaces the previous one unless an active transaction's
 	// start timestamp separates them.
 	Coalesce bool
-	// ReferenceStore backs the per-line version table with the retained
-	// dense mem store instead of the paged one, the differential oracle
-	// for the paged backing. Results are bit-identical to the default;
-	// only memory footprint changes.
-	ReferenceStore bool
 }
 
 // DefaultConfig returns the paper's configuration: 4 versions,
@@ -136,8 +131,7 @@ type Memory struct {
 	// address space is dense (bump allocated), and ReadWord sits on the
 	// per-access hot path where a map hash dominated. The paged backing
 	// keeps the heap proportional to touched lines at serving-scale
-	// footprints (Config.ReferenceStore retains the dense backing as
-	// the differential oracle). nLines counts the non-nil entries.
+	// footprints. nLines counts the non-nil entries.
 	lines  mem.Paged[*versionList]
 	nLines int
 	stats  Stats
@@ -152,11 +146,7 @@ func New(cfg Config, clk *clock.Clock, active *clock.ActiveTable) *Memory {
 	if cfg.Policy != Unbounded && cfg.MaxVersions <= 0 {
 		panic("mvm: bounded policy requires MaxVersions > 0")
 	}
-	m := &Memory{cfg: cfg, clk: clk, active: active}
-	if cfg.ReferenceStore {
-		m.lines.SetReference()
-	}
-	return m
+	return &Memory{cfg: cfg, clk: clk, active: active}
 }
 
 // safeHorizon returns the highest timestamp H such that no current or

@@ -26,8 +26,10 @@ type batchTrace struct {
 // behind SetSlack(0)+Tick(overhead) (mutations, audited with Interact) or
 // behind a Fence (reads) — with the interaction landing exactly at
 // park+overhead, the adversarial margin where only strictly-below-horizon
-// batching is sound.
-func runBatchBody(threads int, seed uint64, run func(*Sim, func(*Thread))) batchTrace {
+// batching is sound. With perEvent set the same body charges every event
+// through Tick (Fence as Tick(0)), which is how the pre-batching heap
+// conductor scheduled it: strictly per event, no quantum past the root.
+func runBatchBody(threads int, seed uint64, perEvent bool, run func(*Sim, func(*Thread))) batchTrace {
 	const overhead = 8
 	tr := batchTrace{
 		perThread: make([][]uint64, threads),
@@ -53,15 +55,27 @@ func runBatchBody(threads int, seed uint64, run func(*Sim, func(*Thread))) batch
 				th.Tick(1)
 			case 2:
 				// Fenced order-sensitive read of the shared state.
-				th.Fence()
+				if perEvent {
+					th.Tick(0)
+				} else {
+					th.Fence()
+				}
 				tr.observes[id] = append(tr.observes[id], th.Cycles()<<16|uint64(len(shared)))
 				th.Tick(1 + r.Uint64()%3)
 			case 3:
 				// Thread-local waiting: never an event by itself.
-				th.LocalTick(r.Uint64() % 20)
+				if c := r.Uint64() % 20; perEvent {
+					th.Tick(c)
+				} else {
+					th.LocalTick(c)
+				}
 			default:
 				// Batched-eligible charge, zero charges included.
-				th.TickHinted(r.Uint64() % 5)
+				if c := r.Uint64() % 5; perEvent {
+					th.Tick(c)
+				} else {
+					th.TickHinted(c)
+				}
 			}
 		}
 	})
@@ -128,64 +142,71 @@ func TestBatchedRunMatchesSlow(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 4, 8, 16} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
-				fast := runBatchBody(threads, seed, (*Sim).Run)
-				slow := runBatchBody(threads, seed, (*Sim).Slow)
+				fast := runBatchBody(threads, seed, false, (*Sim).Run)
+				slow := runBatchBody(threads, seed, false, (*Sim).Slow)
 				diffBatchTraces(t, fast, slow, "batched", "slow")
 			})
 		}
 	}
 }
 
-// TestBatchedRunMatchesPerEvent pins the differential the harness-level
-// byte-identity gates build on: the batched conductor against the same
-// heap conductor with batching disabled (SetPerEvent), which reproduces
-// the pre-batching per-event fast path exactly.
+// TestBatchedRunMatchesPerEvent pins the same differential on the heap
+// conductor alone: the batched bodies against per-event bodies that charge
+// every event through Tick, which is the pre-batching fast path exactly.
+// Together with TestBatchedRunMatchesSlow it separates a horizon bug (this
+// test fails) from a heap-conductor bug (both fail). The per-event run
+// must batch nothing and switch at least as often as the batched one.
 func TestBatchedRunMatchesPerEvent(t *testing.T) {
-	perEvent := func(s *Sim, body func(*Thread)) {
-		s.SetPerEvent(true)
-		s.Run(body)
-	}
 	for _, threads := range []int{2, 4, 8} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
-				batched := runBatchBody(threads, seed, (*Sim).Run)
-				ref := runBatchBody(threads, seed, perEvent)
+				var batchedStats, perEventStats Stats
+				batched := runBatchBody(threads, seed, false, func(s *Sim, body func(*Thread)) {
+					s.Run(body)
+					batchedStats = s.Stats()
+				})
+				ref := runBatchBody(threads, seed, true, func(s *Sim, body func(*Thread)) {
+					s.Run(body)
+					perEventStats = s.Stats()
+				})
 				diffBatchTraces(t, batched, ref, "batched", "per-event")
+				if perEventStats.BatchedEvents != 0 || perEventStats.LocalTicks != 0 {
+					t.Errorf("per-event bodies batched: %+v", perEventStats)
+				}
+				if batchedStats.CoroutineSwitches > perEventStats.CoroutineSwitches {
+					t.Errorf("batched run switched %d times, per-event %d",
+						batchedStats.CoroutineSwitches, perEventStats.CoroutineSwitches)
+				}
 			})
 		}
 	}
 }
 
 // TestBatchingActuallyBatches guards the point of the mechanism: under the
-// protocol bodies the batched conductor must run multi-event quanta (a
-// regression to per-event scheduling would silently keep figures correct
-// while losing the performance), and must switch coroutines strictly less
-// often than the per-event conductor on the same workload.
+// protocol bodies the batched conductor must run multi-event quanta and
+// skip the conductor on thread-local charges (a regression to per-event
+// scheduling would silently keep figures correct while losing the
+// performance), and must switch coroutines strictly less often than the
+// reference conductor, which switches on every charge.
 func TestBatchingActuallyBatches(t *testing.T) {
-	var batched Stats
-	runBatchBody(4, 1, func(sim *Sim, body func(*Thread)) {
+	var batched, slow Stats
+	runBatchBody(4, 1, false, func(sim *Sim, body func(*Thread)) {
 		sim.Run(body)
 		batched = sim.Stats()
+	})
+	runBatchBody(4, 1, false, func(sim *Sim, body func(*Thread)) {
+		sim.Slow(body)
+		slow = sim.Stats()
 	})
 	if batched.BatchedEvents == 0 {
 		t.Fatalf("batched conductor ran no batched events: %+v", batched)
 	}
-	var perEvent Stats
-	runBatchBody(4, 1, func(sim *Sim, body func(*Thread)) {
-		sim.SetPerEvent(true)
-		sim.Run(body)
-		perEvent = sim.Stats()
-	})
-	if perEvent.BatchedEvents != 0 {
-		t.Fatalf("per-event conductor batched %d events", perEvent.BatchedEvents)
+	if batched.LocalTicks == 0 {
+		t.Fatalf("batched conductor ran no local ticks: %+v", batched)
 	}
-	if batched.CoroutineSwitches >= perEvent.CoroutineSwitches {
-		t.Fatalf("batched conductor switched %d times, per-event %d: batching should reduce switches",
-			batched.CoroutineSwitches, perEvent.CoroutineSwitches)
-	}
-	if perEvent.LocalTicks != 0 || batched.LocalTicks == 0 {
-		t.Fatalf("LocalTicks: batched %d (want > 0), per-event %d (want 0)",
-			batched.LocalTicks, perEvent.LocalTicks)
+	if batched.CoroutineSwitches >= slow.CoroutineSwitches {
+		t.Fatalf("batched conductor switched %d times, reference %d: batching should reduce switches",
+			batched.CoroutineSwitches, slow.CoroutineSwitches)
 	}
 }
 

@@ -103,8 +103,8 @@ func (t *Thread) Tick(c uint64) {
 // no yield — because a charge with no attached effects commutes with
 // every other thread's events: delaying the handoff cannot change what
 // any thread observes. Under the reference conductors (Slow, RunChoose)
-// and in per-event mode it behaves exactly like Tick, so the differential
-// oracles and the model checker see an unchanged per-event machine.
+// it behaves exactly like Tick, so the differential oracle and the model
+// checker see an unchanged per-event machine.
 //
 // The caller must not touch simulated shared state between a LocalTick
 // and the next Tick, TickHinted, Fence or Stall unless that touch is
@@ -113,19 +113,9 @@ func (t *Thread) Tick(c uint64) {
 func (t *Thread) LocalTick(c uint64) {
 	t.cycles += c
 	s := t.sim
-	if s.fast && !s.perEvent {
+	if s.fast {
 		s.stats.LocalTicks++
 		return
-	}
-	if s.fast {
-		if len(s.runq) == 0 {
-			s.stats.InlineTicks++
-			return
-		}
-		if r := &s.runq[0]; t.cycles < r.cycles || (t.cycles == r.cycles && int32(t.id) < r.id) {
-			s.stats.InlineTicks++
-			return
-		}
 	}
 	if !t.yield(struct{}{}) {
 		panic("sched: thread resumed after its conductor stopped")
@@ -146,8 +136,7 @@ func (t *Thread) LocalTick(c uint64) {
 // the thread keeps running inline, because no parked thread can perform
 // a non-commuting effect below that bound (Thread.slack) and the batched
 // events themselves were certified commuting by the caller. Otherwise it
-// yields like Tick. Under the reference conductors and in per-event mode
-// it is exactly Tick.
+// yields like Tick. Under the reference conductors it is exactly Tick.
 func (t *Thread) TickHinted(c uint64) {
 	t.cycles += c
 	s := t.sim
@@ -160,7 +149,7 @@ func (t *Thread) TickHinted(c uint64) {
 			s.stats.InlineTicks++
 			return
 		}
-		if !s.perEvent && t.cycles < s.horizon() {
+		if t.cycles < s.horizon() {
 			s.stats.BatchedEvents++
 			if t.cycles > s.maxBatchedKey {
 				s.maxBatchedKey = t.cycles
@@ -175,14 +164,14 @@ func (t *Thread) TickHinted(c uint64) {
 
 // Fence ends any batched quantum: under the heap conductor it yields if
 // the thread has charged past the heap root (exactly Tick(0)); everywhere
-// else — the reference conductors, per-event mode, or a thread still
-// ordered before the root — it is a no-op. Call it before an effect that
+// else — the reference conductors, or a thread still ordered before the
+// root — it is a no-op. Call it before an effect that
 // does not commute with parked threads' events when the preceding charges
 // went through LocalTick/TickHinted; tm.Atomic fences once per attempt,
 // which covers every engine's Begin-side clock and stall logic.
 func (t *Thread) Fence() {
 	s := t.sim
-	if !s.fast || s.perEvent {
+	if !s.fast {
 		return
 	}
 	if len(s.runq) == 0 {
@@ -260,12 +249,6 @@ type Sim struct {
 	runq []runqEnt
 	fast bool
 
-	// perEvent disables the horizon batching extensions while keeping the
-	// heap conductor: LocalTick and TickHinted degrade to exactly Tick and
-	// Fence to a no-op, reproducing the pre-horizon per-event conductor.
-	// It is the differential baseline for the batched path.
-	perEvent bool
-
 	// horizonKey caches the current horizon — min over parked runnable
 	// threads of (frozen cycles + published slack) — and horizonGen/heapGen
 	// invalidate it: the run queue only changes at conductor handoffs, so
@@ -310,12 +293,6 @@ func (s *Stats) Add(other Stats) {
 
 // Stats returns the conductor counters of the last Run/Slow invocation.
 func (s *Sim) Stats() Stats { return s.stats }
-
-// SetPerEvent toggles per-event mode: with on, the heap conductor runs
-// every charge through the pre-horizon per-event protocol (LocalTick and
-// TickHinted behave exactly like Tick), providing the differential
-// baseline the batched conductor is pinned against.
-func (s *Sim) SetPerEvent(on bool) { s.perEvent = on }
 
 // horizon returns the cached horizon for the current handoff, recomputing
 // it if the run queue changed. A parked thread's counter is frozen and

@@ -9,9 +9,6 @@ func init() {
 	tm.Register("SONTM", func(o tm.EngineOptions) tm.Engine {
 		cfg := DefaultConfig()
 		cfg.Cache.Scratch = o.CacheScratch
-		cfg.Cache.Reference = o.ReferenceCache
-		cfg.ReferenceSets = o.ReferenceSets
-		cfg.ReferenceStore = o.ReferenceStore
 		return New(cfg)
 	})
 }

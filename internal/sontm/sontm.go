@@ -18,9 +18,7 @@
 // Access tracking uses the signature-backed tables of internal/aset: the
 // commit broadcast probes other transactions' read/write sets with a
 // one-word signature AND in the common miss case, mirroring the hardware
-// signatures SONTM itself assumes. The pre-aset map-based engine is kept
-// verbatim in slow.go as a differential oracle behind
-// Config.ReferenceSets.
+// signatures SONTM itself assumes.
 package sontm
 
 import (
@@ -54,16 +52,6 @@ type Config struct {
 	HistoryCheckCost uint64
 	// CommitOverhead is the fixed commit setup cost.
 	CommitOverhead uint64
-	// ReferenceSets routes transactions through the verbatim map-based
-	// access-set implementation (slow.go), the differential oracle for
-	// the aset fast path. Results are bit-identical to the default; only
-	// simulator wall time changes.
-	ReferenceSets bool
-	// ReferenceStore backs the per-word values and per-line SON tables
-	// with the retained dense mem store instead of the paged one, the
-	// differential oracle for the paged backing. Results are
-	// bit-identical to the default; only memory footprint changes.
-	ReferenceStore bool
 }
 
 // DefaultConfig returns the evaluated configuration.
@@ -97,8 +85,7 @@ type Engine struct {
 	// number: the simulated address space is dense (bump allocated),
 	// and words/writeNums sit on the per-access hot path where a map
 	// hash dominated. The paged backing keeps the heap proportional to
-	// touched lines at serving-scale footprints (Config.ReferenceStore
-	// retains the dense backing as the differential oracle).
+	// touched lines at serving-scale footprints.
 	words mem.Paged[uint64]
 	// writeNums holds the SON of the last committed writer per line —
 	// SONTM's global write-numbers hashtable.
@@ -121,11 +108,6 @@ type Engine struct {
 	// rehash churn.
 	lastTxn map[int]*txn
 
-	// Reference map-based implementation state (slow.go), used only when
-	// cfg.ReferenceSets.
-	activeSlow  []*slowTxn
-	lastTxnSlow map[int]*slowTxn
-
 	commitBusy bool
 }
 
@@ -135,15 +117,7 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		shared:   cache.NewShared(cfg.Cache),
 		lastTxn:  make(map[int]*txn),
-		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
-	}
-	if cfg.ReferenceSets {
-		e.lastTxnSlow = make(map[int]*slowTxn)
-	}
-	if cfg.ReferenceStore {
-		e.words.SetReference()
-		e.writeNums.SetReference()
-		e.readNums.SetReference()
+		presence: cache.NewPresence(cfg.Cache.Scratch),
 	}
 	return e
 }
@@ -220,13 +194,8 @@ func (e *Engine) CacheStats() cache.Stats {
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: the active list is empty and every recycled
 // transaction object holds empty sets. tmtest calls it after each
-// conformance cell. The reference (map-based) path keeps the pre-aset
-// engine's own lifecycle — maps are cleared at Begin — so it is not
-// audited.
+// conformance cell.
 func (e *Engine) AuditAccessSets() error {
-	if e.cfg.ReferenceSets {
-		return nil
-	}
 	if n := len(e.active); n != 0 {
 		return fmt.Errorf("sontm: %d transactions still active after quiescence", n)
 	}
@@ -290,9 +259,6 @@ var _ tm.Txn = (*txn)(nil)
 
 // Begin implements tm.Engine.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	e.txnSeq++
 	var tx *txn
 	if old := e.lastTxn[t.ID()]; old != nil && old.finished {

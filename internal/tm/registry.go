@@ -25,24 +25,6 @@ type EngineOptions struct {
 	NoCoalescing bool
 	// NoXlate disables the translation cache (ablation).
 	NoXlate bool
-	// ReferenceCache routes every simulated memory access through the
-	// verbatim pre-fast-path cache model (cache.SlowHierarchy), the
-	// differential oracle for the way-predicted implementation. Results
-	// are bit-identical to the default; only simulator wall time
-	// changes.
-	ReferenceCache bool
-	// ReferenceSets routes every transaction through the verbatim
-	// map-based access-set implementation (each engine's slow.go), the
-	// differential oracle for the signature-backed internal/aset fast
-	// path. Results are bit-identical to the default; only simulator
-	// wall time changes.
-	ReferenceSets bool
-	// ReferenceStore backs the engines' per-word/per-line tables (and
-	// SI-TM's version table and presence filters) with the retained
-	// dense mem store instead of the paged one, the differential oracle
-	// for the paged backing (mem.Paged). Results are bit-identical to
-	// the default; only memory footprint changes.
-	ReferenceStore bool
 	// CacheScratch, when non-nil, recycles simulated cache arrays
 	// across the engines built with these options. It never changes
 	// simulated behaviour; callers own the scratch's single-threaded

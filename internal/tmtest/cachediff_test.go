@@ -4,30 +4,36 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sched"
 	"repro/internal/tm"
 )
 
-// TestCacheDifferential pins the memory-hierarchy fast path at the engine
-// level: for every registered engine, across thread counts and seeds, the
-// way-predicted cache model and the verbatim reference model
-// (cache.SlowHierarchy, selected by EngineOptions.ReferenceCache) produce
-// bit-identical engine statistics, makespans, final memory state and
-// cache statistics. Any divergence means the fast path changed a charged
-// latency or an eviction, which would silently shift every figure in the
-// evaluation. The per-stream property tests live in internal/cache and
-// the report-level gate in internal/harness; this sweep proves the
-// equivalence survives real engine access patterns, including the
-// commit-time invalidation traffic.
+// TestCacheDifferential pins the memory-hierarchy fast path's state
+// management at the engine level: for every registered engine, across
+// thread counts and seeds, a run on freshly allocated cache arrays and a
+// run on arrays recycled through a cache.Scratch that an earlier, larger
+// run left dirty produce bit-identical engine statistics, makespans,
+// final memory state and cache statistics. Recycling resets only what
+// the previous owner touched — the tag/stamp sets, the way predictions,
+// the LRU clock and the presence filter's paged bit table — so a missed
+// reset shows up here as a spurious hit, a stale prediction or a skipped
+// invalidation. The per-stream differential against the reference model
+// (cache.SlowHierarchy) lives in internal/cache and the report-level
+// digests in internal/harness.
 func TestCacheDifferential(t *testing.T) {
 	for _, name := range tm.Engines() {
 		for _, threads := range []int{1, 2, 4, 8} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/t%d/s%d", name, threads, seed), func(t *testing.T) {
-					fast := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, (*sched.Sim).Run)
-					slow := runEngineWorkload(t, name, tm.EngineOptions{ReferenceCache: true}, threads, seed, (*sched.Sim).Run)
-					if fast != slow {
-						t.Errorf("fast cache %+v\nreference cache %+v", fast, slow)
+					fresh := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, (*sched.Sim).Run)
+					scratch := cache.NewScratch()
+					// Dirty every core's arrays the recycled run will draw,
+					// under another schedule.
+					runEngineWorkload(t, name, tm.EngineOptions{CacheScratch: scratch}, 8, seed+100, (*sched.Sim).Run)
+					recycled := runEngineWorkload(t, name, tm.EngineOptions{CacheScratch: scratch}, threads, seed, (*sched.Sim).Run)
+					if fresh != recycled {
+						t.Errorf("fresh caches %+v\nrecycled caches %+v", fresh, recycled)
 					}
 				})
 			}

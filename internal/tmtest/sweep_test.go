@@ -3,6 +3,7 @@ package tmtest_test
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
 
@@ -46,22 +47,32 @@ func TestRegistrySweep(t *testing.T) {
 
 // TestRegistrySweepOptions re-runs conformance under the engine options
 // the evaluation sweeps (word granularity, unbounded versions), again for
-// every registered engine; engines ignore options that do not apply.
+// every registered engine; engines ignore options that do not apply. The
+// reference-store variant builds every engine on one cache scratch and
+// releases each engine into it before the next is built, as the
+// experiment workers do between cells, so all but the first engine run on
+// recycled stores — cache arrays and presence-filter pages reset in
+// O(touched) rather than freshly allocated — and must still conform.
 func TestRegistrySweepOptions(t *testing.T) {
 	opts := map[string]tm.EngineOptions{
 		"word-granularity":   {WordGranularity: true},
 		"unbounded-versions": {UnboundedVersions: true},
-		"reference-store":    {ReferenceStore: true},
+		"reference-store":    {CacheScratch: cache.NewScratch()},
 	}
 	for _, name := range tm.Engines() {
 		for label, o := range opts {
 			o := o
 			t.Run(name+"/"+label, func(t *testing.T) {
+				var prev tm.Engine
 				tmtest.RunConformance(t, func() tm.Engine {
+					if r, ok := prev.(interface{ ReleaseCaches() }); ok && o.CacheScratch != nil {
+						r.ReleaseCaches()
+					}
 					e, err := tm.NewEngine(name, o)
 					if err != nil {
 						t.Fatalf("constructing %s: %v", name, err)
 					}
+					prev = e
 					return e
 				})
 			})

@@ -8,9 +8,6 @@ func init() {
 	tm.Register("2PL", func(o tm.EngineOptions) tm.Engine {
 		cfg := DefaultConfig()
 		cfg.Cache.Scratch = o.CacheScratch
-		cfg.Cache.Reference = o.ReferenceCache
-		cfg.ReferenceSets = o.ReferenceSets
-		cfg.ReferenceStore = o.ReferenceStore
 		return New(cfg)
 	})
 }

@@ -15,8 +15,7 @@
 // the write log is an aset.WriteLog, and per-line reader/writer holds are
 // epoch-stamped records that a finished or recycled transaction
 // invalidates all at once, so begin/commit/abort never walk the line
-// table. The pre-aset map-based engine is kept verbatim in slow.go as a
-// differential oracle behind Config.ReferenceSets.
+// table.
 package twopl
 
 import (
@@ -51,16 +50,6 @@ type Config struct {
 	InterruptPeriod int
 	// InterruptCost is the handler overhead charged per interrupt.
 	InterruptCost uint64
-	// ReferenceSets routes transactions through the verbatim map-based
-	// access-set implementation (slow.go), the differential oracle for
-	// the aset fast path. Results are bit-identical to the default; only
-	// simulator wall time changes.
-	ReferenceSets bool
-	// ReferenceStore backs the per-word values and per-line lock tables
-	// with the retained dense mem store instead of the paged one, the
-	// differential oracle for the paged backing. Results are
-	// bit-identical to the default; only memory footprint changes.
-	ReferenceStore bool
 }
 
 // DefaultConfig returns the evaluated configuration: idealised unbounded
@@ -105,8 +94,7 @@ type Engine struct {
 	// simulated address space is dense (bump allocated), and these sit
 	// on the per-access hot path where a map hash dominated. The paged
 	// backing keeps the heap proportional to touched lines at
-	// serving-scale footprints (Config.ReferenceStore retains the dense
-	// backing as the differential oracle).
+	// serving-scale footprints.
 	words  mem.Paged[uint64]
 	lines  mem.Paged[lineState]
 	txnSeq uint64
@@ -118,11 +106,6 @@ type Engine struct {
 	lastTxn    map[int]*txn
 	liveReader func(*txn, uint64) bool
 
-	// Reference map-based implementation state (slow.go), used only when
-	// cfg.ReferenceSets.
-	linesSlow   mem.Dense[*slowLineState]
-	lastTxnSlow map[int]*slowTxn
-
 	commitBusy  bool
 	accessCount int
 }
@@ -133,16 +116,9 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		shared:   cache.NewShared(cfg.Cache),
 		lastTxn:  make(map[int]*txn),
-		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
+		presence: cache.NewPresence(cfg.Cache.Scratch),
 	}
 	e.liveReader = e.readerLive
-	if cfg.ReferenceSets {
-		e.lastTxnSlow = make(map[int]*slowTxn)
-	}
-	if cfg.ReferenceStore {
-		e.words.SetReference()
-		e.lines.SetReference()
-	}
 	return e
 }
 
@@ -218,15 +194,10 @@ func (e *Engine) CacheStats() cache.Stats {
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: recycled transaction objects hold empty sets and
 // no line records a live reader or writer. tmtest calls it after each
-// conformance cell. The reference (map-based) path keeps the pre-aset
-// engine's own lifecycle — cleanup deletes its holds eagerly — so it is
-// not audited.
+// conformance cell.
 //
 //sitm:allow(yieldlint) quiescent audit scan, runs after every simulated thread has finished
 func (e *Engine) AuditAccessSets() error {
-	if e.cfg.ReferenceSets {
-		return nil
-	}
 	for id, tx := range e.lastTxn {
 		if tx == nil {
 			continue
@@ -304,9 +275,6 @@ var _ tm.Txn = (*txn)(nil)
 
 // Begin implements tm.Engine.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	e.txnSeq++
 	var tx *txn
 	if old := e.lastTxn[t.ID()]; old != nil && old.finished {
